@@ -163,7 +163,6 @@ struct Totals {
     shared_stores: u64,
     shared_rejected: u64,
     trace_full: u64,
-    trace_elided: u64,
     trace_bytes: u64,
 }
 
@@ -179,7 +178,6 @@ fn cache_totals(report: &StudyReport) -> Totals {
         t.shared_stores += ev.shared_cache_stores;
         t.shared_rejected += ev.shared_cache_rejected;
         t.trace_full += ev.trace_steps_full;
-        t.trace_elided += ev.trace_steps_elided;
         t.trace_bytes += ev.trace_arena_bytes;
     }
     t
@@ -198,8 +196,7 @@ fn render(
     let mut cells = String::new();
     let (mut simp_hits, mut pruned, mut slices, mut witnessed) = (0u64, 0u64, 0u64, 0u64);
     let (mut simp_ns, mut intv_ns, mut slice_ns) = (0u64, 0u64, 0u64);
-    let (mut vm_steps, mut bb_hits, mut bb_misses, mut decoded) = (0u64, 0u64, 0u64, 0u64);
-    let mut bb_invalidations = 0u64;
+    let mut vm_steps = 0u64;
     let (mut blockers, mut propagations, mut evictions) = (0u64, 0u64, 0u64);
     let (mut retries, mut quarantined, mut backoff_ns) = (0u64, 0u64, 0u64);
     let (mut disk_hits, mut seg_rejected) = (0u64, 0u64);
@@ -214,10 +211,6 @@ fn render(
             intv_ns += ev.interval_ns;
             slice_ns += ev.slice_ns;
             vm_steps += ev.vm_steps;
-            bb_hits += ev.bb_hits;
-            bb_misses += ev.bb_misses;
-            bb_invalidations += ev.bb_invalidations;
-            decoded += ev.steps_decoded;
             blockers += ev.blocker_skips;
             propagations += ev.propagations;
             evictions += ev.lbd_evictions;
@@ -305,10 +298,7 @@ fn render(
     };
     // The stateless paper lineup never reads a cache; the incremental
     // Omniscient leg is where the query-cache and shared-cache counters
-    // carry signal. Same split for the trace path: the paper lineup
-    // records full arena capture (Table II must not depend on elision),
-    // while Omniscient arms the taint gate and records sparse — its
-    // `trace_steps_elided` total is the elision counter.
+    // carry signal. Both legs record every trace step in full.
     let paper = cache_totals(report);
     let inc = cache_totals(incremental);
     format!(
@@ -328,18 +318,13 @@ fn render(
          \"roots_blasted\": {}, \"roots_reused\": {}, \
          \"shared_cache_hits\": {}, \"shared_cache_stores\": {}, \
          \"shared_cache_rejected\": {}, \
-         \"trace_steps_full\": {}, \"trace_steps_elided\": {}, \
-         \"trace_arena_bytes\": {}}},\n  \
+         \"trace_steps_full\": {}, \"trace_arena_bytes\": {}}},\n  \
          \"optimizer\": {{\"simplify_hits\": {simp_hits}, \"terms_pruned\": {pruned}, \
          \"slices\": {slices}, \"witness_hits\": {witnessed}, \
          \"simplify_ms\": {:.3}, \"interval_ms\": {:.3}, \
          \"slice_ms\": {:.3}}},\n  \
-         \"vm\": {{\"vm_steps\": {vm_steps}, \"bb_hits\": {bb_hits}, \
-         \"bb_misses\": {bb_misses}, \"bb_invalidations\": {bb_invalidations}, \
-         \"steps_decoded\": {decoded}}},\n  \
-         \"trace\": {{\"path\": \"arena\", \"paper_capture\": \"full\", \
-         \"incremental_capture\": \"sparse\", \"steps_full\": {}, \
-         \"steps_elided\": {}, \"arena_bytes\": {}}},\n  \
+         \"vm\": {{\"vm_steps\": {vm_steps}}},\n  \
+         \"trace\": {{\"steps_full\": {}, \"arena_bytes\": {}}},\n  \
          \"sat\": {{\"propagations\": {propagations}, \"blocker_skips\": {blockers}, \
          \"lbd_evictions\": {evictions}}},\n  \
          \"durability\": {{\"retries\": {retries}, \"quarantined\": {quarantined}, \
@@ -367,13 +352,11 @@ fn render(
         inc.shared_stores,
         inc.shared_rejected,
         inc.trace_full,
-        inc.trace_elided,
         inc.trace_bytes,
         simp_ns as f64 / 1e6,
         intv_ns as f64 / 1e6,
         slice_ns as f64 / 1e6,
         paper.trace_full,
-        paper.trace_elided,
         paper.trace_bytes,
         backoff_ns as f64 / 1e6,
         report.stats.cells_replayed,

@@ -230,16 +230,6 @@ pub struct Evidence {
     pub slice_ns: u64,
     /// Total VM instruction steps across all concrete rounds.
     pub vm_steps: u64,
-    /// VM steps served from the predecoded basic-block cache.
-    pub bb_hits: u64,
-    /// VM dispatch steps the block cache could not serve (cold, dirty, or
-    /// uncacheable pc).
-    pub bb_misses: u64,
-    /// Cached blocks invalidated by stores into decoded code ranges.
-    pub bb_invalidations: u64,
-    /// VM steps that byte-decoded an instruction (cache misses plus all
-    /// steps when the cache is disabled).
-    pub steps_decoded: u64,
     /// SAT watch-list entries dismissed by a true blocker literal across
     /// all queries (propagation fast path).
     pub blocker_skips: u64,
@@ -286,10 +276,12 @@ pub struct Evidence {
     /// Shared-cache models rejected by read-through verification (stale or
     /// corrupt entries; counted, never answered from).
     pub shared_cache_rejected: u64,
-    /// Trace steps recorded with full operand capture, summed over rounds.
+    /// Trace steps recorded, summed over rounds. Every step carries its
+    /// full operand capture.
     pub trace_steps_full: u64,
-    /// Trace steps recorded as elided skeletons by the VM's taint gate
-    /// (zero unless the profile arms `sparse_trace`).
+    /// Always 0: the VM records every step in full and elides none. The
+    /// field stays because the benchmark harness (`studybench/src/main.rs`)
+    /// reads it.
     pub trace_steps_elided: u64,
     /// Bytes held by the trace arenas, summed over rounds (capacity, not
     /// length — the allocation footprint recording actually paid).
@@ -592,22 +584,7 @@ impl Engine {
 
             // 1. Concrete execution with tracing.
             fault::set_stage("vm");
-            let mut config = input.to_config(true, self.profile.step_budget);
-            // Taint-gated sparse recording: seed the VM's online gate
-            // with the same symbolic ranges the taint engine uses. The
-            // environment override forces elision for every compatible
-            // profile (CI uses it to prove the reports don't depend on
-            // operand capture). A profile that treats library code as
-            // opaque is *not* compatible: its symbolic executor mines
-            // concrete call-argument values out of clean steps to feed
-            // function summaries, and an elided step hides exactly that
-            // data — so elision stays off whenever opaque ranges exist.
-            let opaque_libs = !self.profile.loads_dyn_libs && !lib_ranges.is_empty();
-            if (self.profile.sparse_trace || std::env::var_os("BOMBLAB_SPARSE_TRACE").is_some())
-                && !opaque_libs
-            {
-                config.sparse_taint = Some(vec![(subject.argv1_addr(), input.argv1.len() as u64)]);
-            }
+            let config = input.to_config(true, self.profile.step_budget);
             let Ok(mut machine) = Machine::load(&subject.image, subject.lib.as_ref(), config)
             else {
                 evidence.abnormal = true;
@@ -622,11 +599,6 @@ impl Engine {
             let status = run.status;
             evidence.vm_ns += vm_start.elapsed().as_nanos() as u64;
             evidence.vm_steps += run.steps;
-            let bb = machine.bb_stats();
-            evidence.bb_hits += bb.bb_hits;
-            evidence.bb_misses += bb.bb_misses;
-            evidence.bb_invalidations += bb.bb_invalidations;
-            evidence.steps_decoded += bb.steps_decoded;
             // An injected stall may have tripped on the guest's final
             // quantum; fail the cell before the detonation check so the
             // "hang" cannot race the solve.
@@ -650,8 +622,7 @@ impl Engine {
                 evidence.vm_budget = true;
             }
             let full_trace = machine.take_trace();
-            evidence.trace_steps_full += full_trace.full_steps();
-            evidence.trace_steps_elided += full_trace.elided_steps();
+            evidence.trace_steps_full += full_trace.len() as u64;
             evidence.trace_arena_bytes += full_trace.arena_bytes();
 
             // 2. Tool-level aborts: unsupported syscalls, traps.
@@ -988,7 +959,6 @@ impl Engine {
             obs::counter("solver.roots_reused", evidence.roots_reused);
             obs::counter("engine.vm_steps", evidence.vm_steps);
             obs::counter("vm.trace_steps_full", evidence.trace_steps_full);
-            obs::counter("vm.trace_steps_elided", evidence.trace_steps_elided);
             obs::counter("vm.trace_arena_bytes", evidence.trace_arena_bytes);
         }
 

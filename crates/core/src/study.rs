@@ -167,6 +167,12 @@ pub struct StudyStats {
     /// Cells scheduled on the static-analysis fallback estimate (no
     /// usable history).
     pub sched_estimated: u64,
+    /// Observation windows this study opened (one per phase-1 unit and
+    /// per cell attempt when [`StudyOptions::observe`] is set, else 0).
+    pub obs_windows_opened: u64,
+    /// Observation windows this study closed. Equal to
+    /// `obs_windows_opened` once the study has returned.
+    pub obs_windows_closed: u64,
 }
 
 /// The full study outcome.
@@ -436,18 +442,6 @@ impl StudyReport {
                 if ev.vm_steps > 0 {
                     line = line.u64("vm_steps", ev.vm_steps);
                 }
-                if ev.bb_hits > 0 {
-                    line = line.u64("bb_hits", ev.bb_hits);
-                }
-                if ev.bb_misses > 0 {
-                    line = line.u64("bb_misses", ev.bb_misses);
-                }
-                if ev.bb_invalidations > 0 {
-                    line = line.u64("bb_invalidations", ev.bb_invalidations);
-                }
-                if ev.steps_decoded > 0 {
-                    line = line.u64("steps_decoded", ev.steps_decoded);
-                }
                 if ev.blocker_skips > 0 {
                     line = line.u64("blocker_skips", ev.blocker_skips);
                 }
@@ -497,9 +491,6 @@ impl StudyReport {
                 }
                 if ev.trace_steps_full > 0 {
                     line = line.u64("trace_steps_full", ev.trace_steps_full);
-                }
-                if ev.trace_steps_elided > 0 {
-                    line = line.u64("trace_steps_elided", ev.trace_steps_elided);
                 }
                 if ev.trace_arena_bytes > 0 {
                     line = line.u64("trace_arena_bytes", ev.trace_arena_bytes);
@@ -701,10 +692,6 @@ impl StudyReport {
 
         {
             let mut steps = 0u64;
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let mut invalidations = 0u64;
-            let mut decoded = 0u64;
             let mut blockers = 0u64;
             let mut evictions = 0u64;
             let mut propagations = 0u64;
@@ -715,10 +702,6 @@ impl StudyReport {
                 for cell in &row.cells {
                     let ev = &cell.attempt.evidence;
                     steps += ev.vm_steps;
-                    hits += ev.bb_hits;
-                    misses += ev.bb_misses;
-                    invalidations += ev.bb_invalidations;
-                    decoded += ev.steps_decoded;
                     blockers += ev.blocker_skips;
                     evictions += ev.lbd_evictions;
                     propagations += ev.propagations;
@@ -727,12 +710,8 @@ impl StudyReport {
                     shared_rejected += ev.shared_cache_rejected;
                 }
             }
-            let _ = writeln!(out, "\n## VM dispatch\n");
-            let _ = writeln!(
-                out,
-                "{steps} VM steps: {hits} block-cache hits, {misses} misses, \
-                 {invalidations} invalidations, {decoded} byte-decoded."
-            );
+            let _ = writeln!(out, "\n## Hot loops\n");
+            let _ = writeln!(out, "{steps} VM steps.");
             let _ = writeln!(
                 out,
                 "SAT hot loop: {propagations} propagations, {blockers} blocker skips, \
@@ -1084,6 +1063,7 @@ pub fn run_study_with(
     let jobs = options.jobs;
     let plan = options.fault_plan.as_ref();
     let deadline = options.cell_deadline;
+    let windows = obs::WindowTally::default();
     let capabilities: Vec<bomblab_sa::Capabilities> = profiles
         .iter()
         .map(ToolProfile::static_capabilities)
@@ -1111,14 +1091,14 @@ pub fn run_study_with(
             // spans recorded up to the panic.
             let obs_token = options
                 .observe
-                .then(|| obs::arm(&case.subject.name, "oracle+static"));
+                .then(|| windows.arm(&case.subject.name, "oracle+static"));
             let ground = ground_truth(&case.subject, &case.trigger);
             let token = fault::arm(plan, deadline);
             let analysis = catch_unwind(AssertUnwindSafe(|| {
                 bomblab_sa::analyze(&case.subject.image, case.subject.lib.as_ref())
             }));
             let containment = fault::disarm(token);
-            let profile = obs_token.map(obs::disarm);
+            let profile = obs_token.map(|t| windows.disarm(t));
             let analysis = analysis.map_err(|payload| CrashDiag {
                 message: fault::panic_message(&*payload),
                 stage: "static analysis".to_string(),
@@ -1292,7 +1272,7 @@ pub fn run_study_with(
                 // it. Only the final attempt's window survives.
                 let obs_token = options
                     .observe
-                    .then(|| obs::arm(&case.subject.name, &profile.name));
+                    .then(|| windows.arm(&case.subject.name, &profile.name));
                 let token = fault::arm(armed_plan, attempt_deadline);
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     Engine::new(profile.clone())
@@ -1302,7 +1282,7 @@ pub fn run_study_with(
                         .explore(&case.subject, ground)
                 }));
                 let containment = fault::disarm(token);
-                let obs_profile = obs_token.map(obs::disarm);
+                let obs_profile = obs_token.map(|t| windows.disarm(t));
                 let mut cell = match result {
                     Ok(mut attempt) => {
                         attempt.evidence.injected_faults = containment.injected;
@@ -1454,6 +1434,7 @@ pub fn run_study_with(
             }
         })
         .collect();
+    let (obs_windows_opened, obs_windows_closed) = windows.counts();
     StudyReport {
         profiles: profiles.iter().map(|p| p.name.clone()).collect(),
         rows,
@@ -1462,6 +1443,8 @@ pub fn run_study_with(
             checkpoint_io_errors: checkpoint_io_errors.into_inner(),
             sched_costed,
             sched_estimated,
+            obs_windows_opened,
+            obs_windows_closed,
         },
     }
 }

@@ -36,7 +36,7 @@ pub mod trace;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Number of threads with an armed collection context. Zero in normal
@@ -365,6 +365,39 @@ pub fn disarm(token: ObsToken) -> CellProfile {
                 hists: s.hists,
             })
     })
+}
+
+/// Counts the windows one owner (a study run, say) opens and closes
+/// through it. [`armed`] is process-wide, so windows other owners hold
+/// open move it too; the tally answers "did *this* owner close every
+/// window it opened" for that owner alone.
+#[derive(Debug, Default)]
+pub struct WindowTally {
+    opened: AtomicU64,
+    closed: AtomicU64,
+}
+
+impl WindowTally {
+    /// [`arm`], counted as one opened window.
+    pub fn arm(&self, bomb: &str, profile: &str) -> ObsToken {
+        self.opened.fetch_add(1, Ordering::Relaxed);
+        arm(bomb, profile)
+    }
+
+    /// [`disarm`], counted as one closed window.
+    pub fn disarm(&self, token: ObsToken) -> CellProfile {
+        self.closed.fetch_add(1, Ordering::Relaxed);
+        disarm(token)
+    }
+
+    /// `(opened, closed)` window counts so far.
+    #[must_use]
+    pub fn counts(&self) -> (u64, u64) {
+        (
+            self.opened.load(Ordering::Relaxed),
+            self.closed.load(Ordering::Relaxed),
+        )
+    }
 }
 
 #[inline]

@@ -43,9 +43,12 @@ use crate::{CellProfile, Field};
 /// trace-arena fields: optional recording counters on `cell` lines
 /// (`trace_steps_full`, `trace_steps_elided`, `trace_arena_bytes`) with a
 /// sanity bound requiring a non-empty arena whenever any step was
-/// recorded. All additions are optional fields, so v1–v4 traces still
-/// validate (each bound applies only when its counters are present).
-pub const SCHEMA_VERSION: u64 = 5;
+/// recorded; v6 — the VM's block cache and taint-gated elision were
+/// removed, and with them their `cell` counters (`bb_*`, `steps_decoded`,
+/// `trace_steps_elided`). Up to v5 every change only added optional
+/// fields; v6 removes fields, so a v2–v5 trace that carries any of them
+/// no longer validates.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Field kinds the validator distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,10 +171,6 @@ const SCHEMA: &[TypeSchema] = &[
             ("interval_ns", Kind::U64),
             ("slice_ns", Kind::U64),
             ("vm_steps", Kind::U64),
-            ("bb_hits", Kind::U64),
-            ("bb_misses", Kind::U64),
-            ("bb_invalidations", Kind::U64),
-            ("steps_decoded", Kind::U64),
             ("blocker_skips", Kind::U64),
             ("lbd_evictions", Kind::U64),
             ("branches_proven_independent", Kind::U64),
@@ -188,7 +187,6 @@ const SCHEMA: &[TypeSchema] = &[
             ("shared_cache_stores", Kind::U64),
             ("shared_cache_rejected", Kind::U64),
             ("trace_steps_full", Kind::U64),
-            ("trace_steps_elided", Kind::U64),
             ("trace_arena_bytes", Kind::U64),
             ("expected", Kind::Str),
             ("crash_stage", Kind::Str),
@@ -323,11 +321,11 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     // drift (the counters and the arena are maintained by the same
     // recorder).
     if type_ == "cell" {
-        let full = obj.get("trace_steps_full").and_then(Json::as_u64);
-        let elided = obj.get("trace_steps_elided").and_then(Json::as_u64);
-        let bytes = obj.get("trace_arena_bytes").and_then(Json::as_u64);
-        let steps = full.unwrap_or(0) + elided.unwrap_or(0);
-        if let Some(bytes) = bytes {
+        let steps = obj
+            .get("trace_steps_full")
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
+        if let Some(bytes) = obj.get("trace_arena_bytes").and_then(Json::as_u64) {
             if steps > 0 && bytes == 0 {
                 return Err(format!(
                     "cell: {steps} recorded trace steps with an empty arena"
@@ -572,25 +570,22 @@ mod tests {
                     \"wall_ns\":1,\"rounds\":1,\"queries\":1";
         // All trace-arena fields present and well typed.
         assert!(validate_line(&format!(
-            "{{{base},\"trace_steps_full\":120,\"trace_steps_elided\":80,\
-             \"trace_arena_bytes\":8192}}"
+            "{{{base},\"trace_steps_full\":120,\"trace_arena_bytes\":8192}}"
         ))
         .is_ok());
         // A string where an integer belongs is drift.
-        assert!(validate_line(&format!("{{{base},\"trace_steps_elided\":\"80\"}}")).is_err());
+        assert!(validate_line(&format!("{{{base},\"trace_steps_full\":\"80\"}}")).is_err());
+        // v6 removed the elision counter: it is an unknown field now.
+        assert!(validate_line(&format!("{{{base},\"trace_steps_elided\":1}}")).is_err());
         // Recorded steps with an empty arena are impossible: every step
         // occupies a table row.
         assert!(validate_line(&format!(
             "{{{base},\"trace_steps_full\":1,\"trace_arena_bytes\":0}}"
         ))
         .is_err());
-        assert!(validate_line(&format!(
-            "{{{base},\"trace_steps_elided\":5,\"trace_arena_bytes\":0}}"
-        ))
-        .is_err());
         // Zero steps and zero bytes is a fine (untraced) cell.
         assert!(validate_line(&format!(
-            "{{{base},\"trace_steps_full\":0,\"trace_steps_elided\":0,\"trace_arena_bytes\":0}}"
+            "{{{base},\"trace_steps_full\":0,\"trace_arena_bytes\":0}}"
         ))
         .is_ok());
         // Old traces without the byte counter are not judged by the bound.

@@ -46,15 +46,12 @@
 // stricter policy lives here; CI's `-D warnings` promotes it.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod bbcache;
 pub mod cpu;
-mod gate;
 pub mod machine;
 pub mod mem;
 pub mod os;
 pub mod trace;
 
-pub use bbcache::{BbStats, BlockCache, MicroOp, StoreClass};
 pub use cpu::{Effect, Regs};
 pub use machine::{
     LoadError, Machine, MachineConfig, MachineError, RunResult, RunStatus, BOOM_EXIT_CODE, ROOT_PID,
@@ -62,6 +59,5 @@ pub use machine::{
 pub use mem::{MemFault, Memory};
 pub use os::{Fd, Os};
 pub use trace::{
-    Capture, InputSource, MemAccess, OutputSink, StepView, Steps, SysEffect, SyscallRecord, Trace,
-    TraceStep,
+    InputSource, MemAccess, OutputSink, StepView, Steps, SysEffect, SyscallRecord, Trace, TraceStep,
 };

@@ -5,18 +5,15 @@
 //! fixed quantum. With tracing enabled it records every executed
 //! instruction — the concolic engine's raw material.
 
-use crate::bbcache::{self, BbStats, BlockCache, MicroOp};
-use crate::cpu::{self, Effect, Recorder, Regs, StepOutcome};
-use crate::gate::TaintGate;
+use crate::cpu::{self, Effect, Regs, StepOutcome};
 use crate::mem::{MemFault, Memory};
 use crate::os::{Fd, Os, O_RDONLY, O_RDWR, O_WRONLY};
-use crate::trace::{Capture, InputSource, OutputSink, SysEffect, SyscallRecord, Trace};
+use crate::trace::{InputSource, OutputSink, SysEffect, SyscallRecord, Trace};
 use bomblab_fault::{check_deadline, fault_point, trip_stall, FaultAction, FaultSite};
 use bomblab_isa::image::{layout, Image, ImageError};
 use bomblab_isa::{sys, Insn, Reg};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// Pid of the initial process.
 pub const ROOT_PID: u32 = 1;
@@ -45,17 +42,6 @@ pub struct MachineConfig {
     pub quantum: u32,
     /// Record a full instruction trace.
     pub trace: bool,
-    /// Pre-tainted guest byte ranges `(base, len)` for the online taint
-    /// gate. `Some` arms taint-gated sparse recording: steps provably
-    /// untouched by tainted data are recorded as pc/branch skeletons with
-    /// operand capture elided. `None` (the default) keeps full capture —
-    /// paper-faithful profiles rely on this. Only meaningful with `trace`.
-    pub sparse_taint: Option<Vec<(u64, u64)>>,
-    /// Dispatch through the shared predecoded basic-block cache
-    /// ([`crate::bbcache`]). Disable for A/B runs against the
-    /// decode-per-step path; the `BOMBLAB_NO_BBCACHE` environment
-    /// variable overrides this to `false` at load time.
-    pub bbcache: bool,
 }
 
 impl Default for MachineConfig {
@@ -70,8 +56,6 @@ impl Default for MachineConfig {
             step_budget: 5_000_000,
             quantum: 64,
             trace: false,
-            sparse_taint: None,
-            bbcache: true,
         }
     }
 }
@@ -277,35 +261,12 @@ pub struct Machine {
     quantum: u32,
     tracing: bool,
     trace: Trace,
-    /// Online taint shadow for sparse recording (`None` = full capture).
-    gate: Option<TaintGate>,
     stdin: Vec<u8>,
     next_pid: u32,
     next_tid: u32,
     result: Option<RunStatus>,
     blocked_streak: usize,
     root_stdout_backup: Option<Vec<u8>>,
-    /// Shared predecoded-block cache (`None` when disabled).
-    bbcache: Option<Arc<BlockCache>>,
-    /// Dispatch cursor: the block currently being threaded through, so
-    /// within-block steps skip the cache lookup entirely.
-    bbcursor: Option<BbCursor>,
-    /// Code ranges *this machine* has overwritten (self-modifying code,
-    /// syscall writes into text, injected decode faults). Cached ops
-    /// overlapping a dirty range fall back to byte-decoding live memory.
-    dirty_code: Vec<(u64, u64)>,
-    bb_stats: BbStats,
-}
-
-/// Position inside a predecoded block: the next op is served without
-/// taking the cache lock as long as control flow stays straight-line.
-#[derive(Debug, Clone)]
-struct BbCursor {
-    pid: u32,
-    tid: u32,
-    block: Arc<[MicroOp]>,
-    next: usize,
-    next_pc: u64,
 }
 
 impl Machine {
@@ -410,23 +371,6 @@ impl Machine {
             next_stack_index: 1,
         };
 
-        // The block cache keys on the *resolved* text bytes, so every
-        // round of every profile loading the same image (same imports,
-        // same library) shares one lazily decoded cache.
-        let use_cache = config.bbcache && std::env::var_os("BOMBLAB_NO_BBCACHE").is_none();
-        let bbcache = use_cache.then(|| {
-            let mut regions: Vec<(u64, &[u8])> = vec![(image.text_base, image.text.as_slice())];
-            if let Some(l) = lib {
-                regions.push((l.text_base, l.text.as_slice()));
-            }
-            BlockCache::for_regions(&regions)
-        });
-
-        let gate = match (&config.sparse_taint, config.trace) {
-            (Some(ranges), true) => Some(TaintGate::new(ROOT_PID, ranges)),
-            _ => None,
-        };
-
         Ok(Machine {
             os,
             procs: [(ROOT_PID, root)].into_iter().collect(),
@@ -437,17 +381,12 @@ impl Machine {
             quantum: config.quantum.max(1),
             tracing: config.trace,
             trace: Trace::new(),
-            gate,
             stdin: config.stdin,
             next_pid: ROOT_PID + 1,
             next_tid: 2,
             result: None,
             blocked_streak: 0,
             root_stdout_backup: None,
-            bbcache,
-            bbcursor: None,
-            dirty_code: Vec::new(),
-            bb_stats: BbStats::default(),
         })
     }
 
@@ -456,28 +395,10 @@ impl Machine {
     pub fn run(&mut self) -> RunResult {
         let obs_timer = bomblab_obs::start();
         let steps_before = self.steps;
-        let bb_before = self.bb_stats;
         let result = self.run_inner();
         if let Some(t0) = obs_timer {
             bomblab_obs::span_ns("vm.run", t0.elapsed().as_nanos() as u64);
             bomblab_obs::counter("vm.steps", result.steps - steps_before);
-            let bb = self.bb_stats;
-            for (name, delta) in [
-                ("vm.bb_hits", bb.bb_hits - bb_before.bb_hits),
-                ("vm.bb_misses", bb.bb_misses - bb_before.bb_misses),
-                (
-                    "vm.bb_invalidations",
-                    bb.bb_invalidations - bb_before.bb_invalidations,
-                ),
-                (
-                    "vm.steps_decoded",
-                    bb.steps_decoded - bb_before.steps_decoded,
-                ),
-            ] {
-                if delta > 0 {
-                    bomblab_obs::counter(name, delta);
-                }
-            }
         }
         result
     }
@@ -506,37 +427,11 @@ impl Machine {
             }
             let mut made_progress = false;
             let mut alive = true;
-            let mut remaining = u64::from(self.quantum);
-            while remaining > 0 {
+            for _ in 0..self.quantum {
                 if self.steps >= self.step_budget || self.result.is_some() {
                     break;
                 }
-                // Fast path first: burn through cached straight-line code
-                // in one borrow, then let `step_thread` handle whatever
-                // stopped the span (cache miss, dirty code, store into
-                // code, or nothing — the span may just exhaust the slice).
-                let limit = remaining.min(self.step_budget - self.steps);
-                let (fast, settled) = self.run_cached_span(pid, tid, limit);
-                if fast > 0 {
-                    made_progress = true;
-                    remaining -= fast;
-                }
-                let stepped = match settled {
-                    Some(r) => {
-                        // The settling instruction consumed a slot of its
-                        // own on top of the `fast` plain-continue steps.
-                        remaining = remaining.saturating_sub(1);
-                        r
-                    }
-                    None => {
-                        if fast == limit || self.result.is_some() {
-                            continue;
-                        }
-                        remaining -= 1;
-                        self.step_thread(pid, tid)
-                    }
-                };
-                match stepped {
+                match self.step_thread(pid, tid) {
                     Ok(ThreadStep::Ran) => {
                         made_progress = true;
                     }
@@ -622,345 +517,6 @@ impl Machine {
         self.procs.values().map(|p| p.threads.len()).sum()
     }
 
-    /// Dispatch counters of the block-cache layer (all zero when the cache
-    /// is disabled, except `steps_decoded`, which then counts every step).
-    pub fn bb_stats(&self) -> BbStats {
-        self.bb_stats
-    }
-
-    /// Records that `[addr, addr + len)` was written. When the range
-    /// overlaps a cached code region, the overlapping decoded blocks are
-    /// counted as invalidated and the range joins this machine's dirty
-    /// list, forcing cached fetches there back onto the byte-decode path.
-    fn note_code_write(&mut self, addr: u64, len: u64) {
-        let Some(cache) = &self.bbcache else {
-            return;
-        };
-        if len == 0 || !cache.overlaps_code(addr, len) {
-            return;
-        }
-        self.bb_stats.bb_invalidations += cache.blocks_overlapping(addr, len);
-        self.dirty_code.push((addr, addr.wrapping_add(len)));
-        self.bbcursor = None;
-    }
-
-    /// Whether any byte of `[start, end)` is in this machine's dirty list.
-    fn range_is_dirty(&self, start: u64, end: u64) -> bool {
-        !self.dirty_code.is_empty() && self.dirty_code.iter().any(|&(s, e)| s < end && start < e)
-    }
-
-    /// Serves the micro-op at `pc` from the cache, advancing the dispatch
-    /// cursor. `None` means fall back to byte-decoding (pc outside cached
-    /// regions or its bytes never decoded).
-    fn cached_op(&mut self, pid: u32, tid: u32, pc: u64) -> Option<MicroOp> {
-        if let Some(cur) = &mut self.bbcursor {
-            if cur.pid == pid && cur.tid == tid {
-                if cur.next_pc == pc && cur.next < cur.block.len() {
-                    let op = cur.block[cur.next];
-                    cur.next += 1;
-                    cur.next_pc = op.pc.wrapping_add(op.len as u64);
-                    return Some(op);
-                }
-                // Branch target inside the current run (tight loops jump
-                // back into their own block): reindex locally instead of
-                // taking the shared cache lock. Ops are sorted by pc.
-                if let Ok(i) = cur.block.binary_search_by_key(&pc, |op| op.pc) {
-                    let op = cur.block[i];
-                    cur.next = i + 1;
-                    cur.next_pc = op.pc.wrapping_add(op.len as u64);
-                    return Some(op);
-                }
-            }
-        }
-        let cache = self.bbcache.as_ref()?;
-        let (block, idx) = cache.lookup(pc)?;
-        let op = block[idx];
-        self.bbcursor = Some(BbCursor {
-            pid,
-            tid,
-            block,
-            next: idx + 1,
-            next_pc: op.pc.wrapping_add(op.len as u64),
-        });
-        Some(op)
-    }
-
-    /// Executes one instruction of `(pid, tid)` at `pc`: through the block
-    /// cache when possible, else by byte-decoding live memory.
-    fn dispatch(&mut self, pid: u32, tid: u32, pc: u64) -> Result<StepOutcome, MachineError> {
-        if self.bbcache.is_some() {
-            if let Some(op) = self.cached_op(pid, tid, pc) {
-                // Per-op dirty check: ops whose bytes this machine has
-                // overwritten must re-decode from live memory.
-                if !self.range_is_dirty(op.pc, op.pc.wrapping_add(op.len as u64)) {
-                    return self.exec_cached(pid, tid, op);
-                }
-                self.bbcursor = None;
-            }
-            self.bb_stats.bb_misses += 1;
-        }
-        self.decode_step(pid, tid)
-    }
-
-    /// Executes a predecoded micro-op, first running its store recipe
-    /// against the cached code regions so self-modifying writes are
-    /// caught *before* they land.
-    fn exec_cached(
-        &mut self,
-        pid: u32,
-        tid: u32,
-        op: MicroOp,
-    ) -> Result<StepOutcome, MachineError> {
-        if let Some(sc) = op.store {
-            let base = self
-                .procs
-                .get(&pid)
-                .ok_or(MachineError::DeadProcess { pid })?
-                .threads
-                .get(&tid)
-                .ok_or(MachineError::DeadThread { pid, tid })?
-                .regs
-                .get(sc.base);
-            let addr = base.wrapping_add(sc.off as u64);
-            self.note_code_write(addr, sc.width as u64);
-        }
-        self.bb_stats.bb_hits += 1;
-        let capture = match self.gate.as_mut() {
-            Some(g) => g.capture(pid, tid, &op.insn),
-            None => Capture::Full,
-        };
-        let proc = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(MachineError::DeadProcess { pid })?;
-        let thread = proc
-            .threads
-            .get_mut(&tid)
-            .ok_or(MachineError::DeadThread { pid, tid })?;
-        let rec: Recorder<'_> = if self.tracing {
-            Some((&mut self.trace, capture))
-        } else {
-            None
-        };
-        Ok(cpu::exec(
-            op.insn,
-            &mut thread.regs,
-            &mut proc.mem,
-            pid,
-            tid,
-            rec,
-        ))
-    }
-
-    /// The byte-decode path. With a cache armed, the instruction is peeked
-    /// first so stores into cached code regions are still caught; fetch
-    /// faults delegate to [`cpu::step`] for exact trap construction.
-    fn decode_step(&mut self, pid: u32, tid: u32) -> Result<StepOutcome, MachineError> {
-        self.bb_stats.steps_decoded += 1;
-        if self.bbcache.is_some() {
-            let fetched = {
-                let proc = self
-                    .procs
-                    .get(&pid)
-                    .ok_or(MachineError::DeadProcess { pid })?;
-                let thread = proc
-                    .threads
-                    .get(&tid)
-                    .ok_or(MachineError::DeadThread { pid, tid })?;
-                cpu::fetch(&proc.mem, thread.regs.pc).ok().map(|insn| {
-                    let write = bbcache::store_class(&insn).map(|sc| {
-                        (
-                            thread.regs.get(sc.base).wrapping_add(sc.off as u64),
-                            sc.width as u64,
-                        )
-                    });
-                    (insn, write)
-                })
-            };
-            if let Some((insn, write)) = fetched {
-                if let Some((addr, len)) = write {
-                    self.note_code_write(addr, len);
-                }
-                let capture = match self.gate.as_mut() {
-                    Some(g) => g.capture(pid, tid, &insn),
-                    None => Capture::Full,
-                };
-                let proc = self
-                    .procs
-                    .get_mut(&pid)
-                    .ok_or(MachineError::DeadProcess { pid })?;
-                let thread = proc
-                    .threads
-                    .get_mut(&tid)
-                    .ok_or(MachineError::DeadThread { pid, tid })?;
-                let rec: Recorder<'_> = if self.tracing {
-                    Some((&mut self.trace, capture))
-                } else {
-                    None
-                };
-                return Ok(cpu::exec(
-                    insn,
-                    &mut thread.regs,
-                    &mut proc.mem,
-                    pid,
-                    tid,
-                    rec,
-                ));
-            }
-        }
-        let proc = self
-            .procs
-            .get_mut(&pid)
-            .ok_or(MachineError::DeadProcess { pid })?;
-        let thread = proc
-            .threads
-            .get_mut(&tid)
-            .ok_or(MachineError::DeadThread { pid, tid })?;
-        // The instruction is unknown before the fetch, so the gate cannot
-        // pre-approve a skeleton — record fully (always sound).
-        let rec: Recorder<'_> = if self.tracing {
-            Some((&mut self.trace, Capture::Full))
-        } else {
-            None
-        };
-        Ok(cpu::step(&mut thread.regs, &mut proc.mem, pid, tid, rec))
-    }
-
-    /// Executes up to `limit` consecutive cached micro-ops of `(pid, tid)`
-    /// under a single process/thread borrow — the dispatch fast path. The
-    /// per-step overhead (scheduler bookkeeping, map lookups, cache probes)
-    /// is paid once per span instead of once per instruction.
-    ///
-    /// Returns how many plain-continue instructions ran, plus the settled
-    /// result of a control-effect instruction (halt, trap, syscall) or
-    /// injected fault if one ended the span — that instruction is *not*
-    /// included in the count, so the caller's progress/quantum accounting
-    /// mirrors the per-step path's ThreadStep semantics. `(0, None)` means
-    /// the fast path could not serve the next instruction at all — the
-    /// caller falls back to
-    /// [`Machine::step_thread`], which handles cache misses, dirty code,
-    /// and store-into-code invalidation precisely.
-    fn run_cached_span(
-        &mut self,
-        pid: u32,
-        tid: u32,
-        limit: u64,
-    ) -> (u64, Option<Result<ThreadStep, MachineError>>) {
-        let mut ran = 0u64;
-        let mut pending: Option<StepOutcome> = None;
-        let mut pending_fault: Option<(FaultAction, u64)> = None;
-        {
-            // Disjoint field borrows: the cache (shared), the cursor, the
-            // process map, stats, and the trace are all distinct fields of
-            // `self`, so the loop body never re-borrows `self` whole.
-            let Some(cache) = self.bbcache.as_deref() else {
-                return (0, None);
-            };
-            let Some(cur) = self.bbcursor.as_mut() else {
-                return (0, None);
-            };
-            if cur.pid != pid || cur.tid != tid {
-                return (0, None);
-            }
-            let Some(proc) = self.procs.get_mut(&pid) else {
-                return (0, None);
-            };
-            let Some(thread) = proc.threads.get_mut(&tid) else {
-                return (0, None);
-            };
-            while ran < limit {
-                // Any dirty range forces the precise per-op checks of the
-                // slow path (ranges only appear via settled effects, so
-                // this is really an entry check — but it is two loads).
-                if !self.dirty_code.is_empty() {
-                    break;
-                }
-                let pc = thread.regs.pc;
-                // Fault-injection point, same cadence as the slow path:
-                // one hit per executed instruction.
-                if let Some(action) = fault_point(FaultSite::VmStep) {
-                    match action {
-                        FaultAction::Stall => trip_stall(),
-                        FaultAction::Panic => panic!("injected panic in the vm step loop"),
-                        FaultAction::Unknown => {}
-                        fault => {
-                            pending_fault = Some((fault, pc));
-                            break;
-                        }
-                    }
-                }
-                // Peek the next op: straight-line from the cursor, or an
-                // in-block branch target (ops are sorted by pc). Advance
-                // the cursor only once the op is committed to execute.
-                let (op, next) = if cur.next < cur.block.len() && cur.next_pc == pc {
-                    (cur.block[cur.next], cur.next + 1)
-                } else if let Ok(i) = cur.block.binary_search_by_key(&pc, |op| op.pc) {
-                    (cur.block[i], i + 1)
-                } else {
-                    break;
-                };
-                if let Some(sc) = op.store {
-                    let addr = thread.regs.get(sc.base).wrapping_add(sc.off as u64);
-                    if cache.overlaps_code(addr, u64::from(sc.width)) {
-                        // Store into cached code: the slow path owns the
-                        // invalidation protocol.
-                        break;
-                    }
-                }
-                cur.next = next;
-                cur.next_pc = op.pc.wrapping_add(u64::from(op.len));
-                self.bb_stats.bb_hits += 1;
-                let capture = match self.gate.as_mut() {
-                    Some(g) => g.capture(pid, tid, &op.insn),
-                    None => Capture::Full,
-                };
-                let rec: Recorder<'_> = if self.tracing {
-                    Some((&mut self.trace, capture))
-                } else {
-                    None
-                };
-                let outcome = cpu::exec(op.insn, &mut thread.regs, &mut proc.mem, pid, tid, rec);
-                match outcome.effect {
-                    Effect::Continue => {
-                        ran += 1;
-                        if let (Some(g), Some(idx)) = (self.gate.as_mut(), outcome.step) {
-                            let view = self.trace.view(idx as usize);
-                            if !view.elided && g.observe(view) {
-                                self.trace.demote_last();
-                            }
-                        }
-                    }
-                    _ => {
-                        // The settling instruction is accounted separately
-                        // (`ran` only counts plain-continue steps, so the
-                        // caller's progress tracking matches the per-step
-                        // path's ThreadStep semantics exactly).
-                        pending = Some(outcome);
-                        break;
-                    }
-                }
-            }
-        }
-        self.steps += ran;
-        if let Some((action, pc)) = pending_fault {
-            let err = match action {
-                FaultAction::DecodeError => {
-                    // An injected decode fault poisons the instruction's
-                    // bytes: any block decoded over them is invalidated.
-                    self.note_code_write(pc, 1);
-                    MachineError::InjectedDecodeFault { pc }
-                }
-                _ => MachineError::InjectedMemFault { pc },
-            };
-            return (ran, Some(Err(err)));
-        }
-        if let Some(outcome) = pending {
-            self.steps += 1;
-            return (ran, Some(self.settle(pid, tid, outcome)));
-        }
-        (ran, None)
-    }
-
     fn step_thread(&mut self, pid: u32, tid: u32) -> Result<ThreadStep, MachineError> {
         let pc = self
             .procs
@@ -975,12 +531,7 @@ impl Machine {
         // relaxed atomic load unless a chaos plan is armed on this thread.
         if let Some(action) = fault_point(FaultSite::VmStep) {
             match action {
-                FaultAction::DecodeError => {
-                    // An injected decode fault poisons the instruction's
-                    // bytes: any block decoded over them is invalidated.
-                    self.note_code_write(pc, 1);
-                    return Err(MachineError::InjectedDecodeFault { pc });
-                }
+                FaultAction::DecodeError => return Err(MachineError::InjectedDecodeFault { pc }),
                 FaultAction::MemFault => return Err(MachineError::InjectedMemFault { pc }),
                 FaultAction::Panic => panic!("injected panic in the vm step loop"),
                 FaultAction::Stall => trip_stall(),
@@ -991,13 +542,22 @@ impl Machine {
                 _ => {}
             }
         }
-        let outcome = self.dispatch(pid, tid, pc)?;
+        let proc = self
+            .procs
+            .get_mut(&pid)
+            .ok_or(MachineError::DeadProcess { pid })?;
+        let thread = proc
+            .threads
+            .get_mut(&tid)
+            .ok_or(MachineError::DeadThread { pid, tid })?;
+        let rec = self.tracing.then_some(&mut self.trace);
+        let outcome = cpu::step(&mut thread.regs, &mut proc.mem, pid, tid, rec);
         self.steps += 1;
         self.settle(pid, tid, outcome)
     }
 
-    /// Applies the control effect of one executed instruction: trace
-    /// recording, process exit, trap delivery, or syscall handling.
+    /// Applies the control effect of one executed instruction: process
+    /// exit, trap delivery, or syscall handling.
     fn settle(
         &mut self,
         pid: u32,
@@ -1005,12 +565,8 @@ impl Machine {
         outcome: StepOutcome,
     ) -> Result<ThreadStep, MachineError> {
         match outcome.effect {
-            Effect::Continue => {
-                self.gate_observe(outcome.step);
-                Ok(ThreadStep::Ran)
-            }
+            Effect::Continue => Ok(ThreadStep::Ran),
             Effect::Halt => {
-                self.gate_observe(outcome.step);
                 let code = self
                     .procs
                     .get(&pid)
@@ -1022,7 +578,6 @@ impl Machine {
                 Ok(ThreadStep::Died)
             }
             Effect::Trap(fault) => {
-                self.gate_observe(outcome.step);
                 let proc = self
                     .procs
                     .get_mut(&pid)
@@ -1058,20 +613,6 @@ impl Machine {
                 }
             }
             Effect::Sys => self.handle_syscall(pid, tid, outcome.step),
-        }
-    }
-
-    /// Advances the taint gate past a recorded non-`sys` step and demotes
-    /// the step to a skeleton when nothing tainted flowed through it. The
-    /// step is always the most recently recorded one (nothing records
-    /// between execution and settling).
-    fn gate_observe(&mut self, step: Option<u32>) {
-        let (Some(gate), Some(idx)) = (self.gate.as_mut(), step) else {
-            return;
-        };
-        let view = self.trace.view(idx as usize);
-        if !view.elided && gate.observe(view) {
-            self.trace.demote_last();
         }
     }
 
@@ -1121,19 +662,7 @@ impl Machine {
             regs.get(Reg::A5),
         ];
 
-        let outcome = self.do_syscall(pid, tid, num, args)?;
-        // Syscalls that write guest memory (read, net_get, pipe) can land
-        // in cached code regions; their effects carry the written range.
-        if let SysOutcome::Done { effect, .. } = &outcome {
-            match effect {
-                SysEffect::InputBytes { addr, bytes, .. } => {
-                    self.note_code_write(*addr, bytes.len() as u64);
-                }
-                SysEffect::PipeCreated { addr, .. } => self.note_code_write(*addr, 16),
-                _ => {}
-            }
-        }
-        match outcome {
+        match self.do_syscall(pid, tid, num, args)? {
             SysOutcome::Done { ret, effect } => {
                 // The process may have exited (sys::EXIT) — only advance pc
                 // for still-running threads.
@@ -1151,9 +680,6 @@ impl Machine {
                         ret,
                         effect,
                     };
-                    if let Some(g) = self.gate.as_mut() {
-                        g.observe_syscall(pid, tid, &record);
-                    }
                     self.trace.attach_sys(idx, record);
                 }
                 let died = !self

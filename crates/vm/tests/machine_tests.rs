@@ -2,7 +2,7 @@
 
 use bomblab_isa::asm::assemble;
 use bomblab_isa::link::Linker;
-use bomblab_isa::{sys, trap};
+use bomblab_isa::{sys, trap, Insn, Reg};
 use bomblab_vm::{Machine, MachineConfig, RunStatus, SysEffect};
 
 fn build(src: &str) -> bomblab_isa::image::Image {
@@ -809,5 +809,86 @@ fn two_threads_interleave_deterministically() {
     assert!(
         (200..=300).contains(&value),
         "lost updates bound the racy sum: {value}"
+    );
+}
+
+#[test]
+fn a_store_into_executed_code_takes_effect_when_it_runs_again() {
+    // Self-modifying code: `target` runs once, a byte store rewrites the
+    // immediate of its `li`, and the second call must execute the patched
+    // instruction rather than a stale decode of the old bytes.
+    let encode = |imm| {
+        let mut bytes = Vec::new();
+        Insn::Li { rd: Reg::A0, imm }.encode(&mut bytes);
+        bytes
+    };
+    let (old, new) = (encode(1), encode(5));
+    let at = old
+        .iter()
+        .zip(&new)
+        .position(|(a, b)| a != b)
+        .expect("the immediates differ");
+    let src = format!(
+        r#"
+        .global _start
+    _start:
+        call target
+        mov  s2, a0
+        li   t5, target
+        li   t6, {byte}
+        sb   [t5+{at}], t6
+        call target
+        li   t0, 10
+        mul  s2, s2, t0
+        add  a0, s2, a0
+        li   sv, 0
+        sys
+    target:
+        li   a0, 1
+        ret
+        "#,
+        byte = new[at]
+    );
+    let config = MachineConfig {
+        trace: true,
+        ..MachineConfig::default()
+    };
+    let (status, machine) = run_with(&src, config);
+    assert_eq!(
+        status,
+        RunStatus::Exited(15),
+        "first call 1, patched call 5"
+    );
+
+    let trace = machine.trace();
+    let li_pc = trace
+        .iter()
+        .find(|s| {
+            s.insn
+                == Insn::Li {
+                    rd: Reg::A0,
+                    imm: 1,
+                }
+        })
+        .expect("target ran")
+        .pc;
+    let runs: Vec<Insn> = trace
+        .iter()
+        .filter(|s| s.pc == li_pc)
+        .map(|s| s.insn)
+        .collect();
+    assert_eq!(
+        runs,
+        [
+            Insn::Li {
+                rd: Reg::A0,
+                imm: 1
+            },
+            Insn::Li {
+                rd: Reg::A0,
+                imm: 5
+            }
+        ],
+        "the trace records the patched instruction on the second run"
     );
 }

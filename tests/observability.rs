@@ -6,7 +6,6 @@
 
 use bomblab::bombs::dataset;
 use bomblab::concolic::StudyReport;
-use bomblab::obs;
 use bomblab::obs::trace::validate_lines;
 use bomblab::prelude::*;
 
@@ -111,6 +110,11 @@ fn traced_study_emits_schema_valid_lines_covering_every_stage() {
         .filter(|l| l.contains("\"type\":\"cell\""))
         .count();
     assert_eq!(cells, report.rows.len() * ToolProfile::paper_lineup().len());
+
+    // One window per phase-1 unit and per cell, every one closed.
+    let windows = (report.rows.len() * (ToolProfile::paper_lineup().len() + 1)) as u64;
+    assert_eq!(report.stats.obs_windows_opened, windows);
+    assert_eq!(report.stats.obs_windows_closed, windows);
 }
 
 #[test]
@@ -121,7 +125,10 @@ fn unobserved_study_collects_nothing() {
         assert!(row.cells.iter().all(|c| c.obs.is_none()));
     }
     assert_eq!(report.metrics().cells, 0);
-    assert!(!obs::armed(), "study must disarm every observation window");
+    // The study's own tally, not the process-wide `obs::armed()` gate:
+    // sibling tests arm windows of their own concurrently.
+    assert_eq!(report.stats.obs_windows_opened, 0, "unobserved study armed");
+    assert_eq!(report.stats.obs_windows_closed, 0);
 }
 
 #[test]
