@@ -199,7 +199,6 @@ fn render(
     let mut vm_steps = 0u64;
     let (mut blockers, mut propagations, mut evictions) = (0u64, 0u64, 0u64);
     let (mut retries, mut quarantined, mut backoff_ns) = (0u64, 0u64, 0u64);
-    let (mut disk_hits, mut seg_rejected) = (0u64, 0u64);
     for row in &report.rows {
         for cell in &row.cells {
             let ev = &cell.attempt.evidence;
@@ -217,8 +216,6 @@ fn render(
             retries += u64::from(ev.retries);
             quarantined += u64::from(ev.quarantined);
             backoff_ns += ev.retry_backoff_ns;
-            disk_hits += ev.disk_cache_hits;
-            seg_rejected += ev.cache_segments_rejected;
             if !cells.is_empty() {
                 cells.push_str(",\n");
             }
@@ -241,8 +238,7 @@ fn render(
                  \"cache_hits\": {}, \"cache_misses\": {}, \
                  \"roots_blasted\": {}, \"roots_reused\": {}, \
                  \"propagations\": {}, \"blocker_skips\": {}, \
-                 \"retries\": {}, \"quarantined\": {}, \
-                 \"disk_cache_hits\": {}, \"cache_segments_rejected\": {}}}",
+                 \"retries\": {}, \"quarantined\": {}}}",
                 row.name,
                 cell.profile,
                 cell.outcome,
@@ -269,8 +265,6 @@ fn render(
                 ev.blocker_skips,
                 ev.retries,
                 ev.quarantined,
-                ev.disk_cache_hits,
-                ev.cache_segments_rejected,
             );
         }
     }
@@ -328,8 +322,7 @@ fn render(
          \"sat\": {{\"propagations\": {propagations}, \"blocker_skips\": {blockers}, \
          \"lbd_evictions\": {evictions}}},\n  \
          \"durability\": {{\"retries\": {retries}, \"quarantined\": {quarantined}, \
-         \"retry_backoff_ms\": {:.3}, \"disk_cache_hits\": {disk_hits}, \
-         \"cache_segments_rejected\": {seg_rejected}, \"cells_replayed\": {}, \
+         \"retry_backoff_ms\": {:.3}, \"cache_segments_rejected\": {}, \"cells_replayed\": {}, \
          \"checkpoint_io_errors\": {}}},\n  \
          \"cells\": [\n{cells}\n  ]\n}}\n",
         report.rows.len(),
@@ -359,6 +352,7 @@ fn render(
         paper.trace_full,
         paper.trace_bytes,
         backoff_ns as f64 / 1e6,
+        report.stats.cache_segments_rejected,
         report.stats.cells_replayed,
         report.stats.checkpoint_io_errors,
     )

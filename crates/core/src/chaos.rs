@@ -106,7 +106,6 @@ pub fn chaos_sweep(
                     checkpoint: config.checkpoint.clone(),
                     resume: false,
                     solver_cache_dir: config.solver_cache_dir.clone(),
-                    shared_cache: true,
                 },
             );
             let violations = check_containment(cases, profiles, &report);

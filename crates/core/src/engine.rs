@@ -10,7 +10,7 @@ use bomblab_ir::lift;
 use bomblab_isa::image::{layout, Image};
 use bomblab_obs as obs;
 use bomblab_solver::expr::{CmpOp, Term};
-use bomblab_solver::{DiskCache, ShardCache, SolveOutcome, Solver, UnknownReason};
+use bomblab_solver::{ShardCache, SolveOutcome, Solver, UnknownReason};
 use bomblab_symex::{SymExec, SymbolizeEnv};
 use bomblab_taint::{TaintEngine, TaintPolicy};
 use bomblab_vm::{Machine, RunStatus, Trace, BOOM_EXIT_CODE, ROOT_PID};
@@ -258,22 +258,17 @@ pub struct Evidence {
     /// Crash messages of the failed attempts that preceded this one, in
     /// order. Trace/bench material only — never rendered into reports.
     pub retry_log: Vec<String>,
-    /// Cache-missed slices answered from the persistent solver cache
-    /// (verified read-through hits), when a cache directory is armed.
-    pub disk_cache_hits: u64,
-    /// Persistent-cache segments rejected at load for corruption,
-    /// truncation, or version mismatch (then rebuilt on flush).
-    pub cache_segments_rejected: u64,
     /// Total CDCL propagations across all queries (denominator for the
     /// `blocker_skips` sanity bound — skips happen inside watch-list
     /// walks, which propagations drive).
     pub propagations: u64,
-    /// Cache-missed slices answered from the study-wide shared in-process
-    /// solver cache (verified read-through hits), when one is armed.
+    /// Cache-missed slices answered from the study-wide solver model store
+    /// (verified read-through hits, warm from other cells or from disk),
+    /// when one is attached.
     pub shared_cache_hits: u64,
-    /// Slice models this cell stored into the shared in-process cache.
+    /// Slice models this cell stored into the study-wide model store.
     pub shared_cache_stores: u64,
-    /// Shared-cache models rejected by read-through verification (stale or
+    /// Stored models rejected by read-through verification (stale or
     /// corrupt entries; counted, never answered from).
     pub shared_cache_rejected: u64,
     /// Trace steps recorded, summed over rounds. Every step carries its
@@ -455,7 +450,6 @@ pub fn ground_truth(subject: &Subject, trigger: &WorldInput) -> GroundTruth {
 pub struct Engine {
     profile: ToolProfile,
     hints: StaticHints,
-    cache_dir: Option<std::path::PathBuf>,
     shared_cache: Option<std::sync::Arc<ShardCache>>,
 }
 
@@ -465,7 +459,6 @@ impl Engine {
         Engine {
             profile,
             hints: StaticHints::default(),
-            cache_dir: None,
             shared_cache: None,
         }
     }
@@ -477,24 +470,13 @@ impl Engine {
         self
     }
 
-    /// Arms the persistent solver cache rooted at `dir`. Profiles with
-    /// `incremental_solver` read through it (every loaded model is
-    /// re-verified by concrete evaluation); stateless paper-tool profiles
-    /// attach write-only, warming the cache for later runs without any
-    /// observable effect on their own verdicts — Table II is byte-identical
-    /// with the cache armed or not.
-    #[must_use]
-    pub fn with_solver_cache_dir(mut self, dir: Option<std::path::PathBuf>) -> Engine {
-        self.cache_dir = dir;
-        self
-    }
-
-    /// Arms the study-wide shared in-process solver cache. The gating
-    /// discipline mirrors [`with_solver_cache_dir`](Engine::with_solver_cache_dir):
-    /// profiles with `incremental_solver` read through it (every loaded
-    /// model re-verified by concrete evaluation), stateless paper-tool
-    /// profiles attach write-only — warming the cache for sibling cells
-    /// without any observable effect on their own verdicts.
+    /// Attaches the study-wide solver model store (in memory, or persisted
+    /// by [`ShardCache::open`]). Profiles with `incremental_solver` read
+    /// through it (every loaded model re-verified by concrete evaluation);
+    /// stateless paper-tool profiles attach write-only — warming the store
+    /// for sibling cells and later runs without any observable effect on
+    /// their own verdicts, so Table II is byte-identical with it or
+    /// without.
     #[must_use]
     pub fn with_shared_cache(mut self, cache: Option<std::sync::Arc<ShardCache>>) -> Engine {
         self.shared_cache = cache;
@@ -538,29 +520,25 @@ impl Engine {
         // multi-digit atoi) is a fresh key and gets its own query.
         let mut visited_flips: HashSet<(u64, u64, bool)> = HashSet::new();
 
-        // Persistent solver cache, shared by every solver of this attempt.
-        // Opening tolerates (and counts) corrupt segments; an unopenable
-        // directory simply runs the attempt cold — durability features are
-        // best-effort, never a new way for a cell to die.
-        let disk = self.cache_dir.as_ref().and_then(|dir| {
-            DiskCache::open(dir)
-                .ok()
-                .map(|c| std::rc::Rc::new(std::cell::RefCell::new(c)))
-        });
+        // Every solver of this attempt attaches to the study-wide model
+        // store. Incremental profiles read through it; stateless ones only
+        // write, so their per-query cost model stays the 2017-era one.
+        let new_solver = || {
+            let solver = Solver::new()
+                .with_budget(self.profile.solver_budget)
+                .with_float_mode(self.profile.float_mode);
+            match &self.shared_cache {
+                Some(store) => {
+                    solver.with_shared_cache(store.clone(), self.profile.incremental_solver)
+                }
+                None => solver,
+            }
+        };
 
         // One solver for the whole attempt: its incremental blasting
         // session, query cache and learnt clauses persist across rounds,
         // so later rounds extend earlier CNF instead of re-emitting it.
-        let mut solver = Solver::new()
-            .with_budget(self.profile.solver_budget)
-            .with_float_mode(self.profile.float_mode);
-        if let Some(d) = &disk {
-            solver = solver.with_disk_cache(d.clone(), self.profile.incremental_solver);
-        }
-        if let Some(shared) = &self.shared_cache {
-            solver = solver.with_shared_cache(shared.clone(), self.profile.incremental_solver);
-        }
-        let solver = solver;
+        let solver = new_solver();
 
         'rounds: while let Some(input) = queue.pop_front() {
             // Containment watchdog plus the engine-round fault point: one
@@ -833,21 +811,7 @@ impl Engine {
                 let active = if self.profile.incremental_solver {
                     &solver
                 } else {
-                    let mut t = Solver::new()
-                        .with_budget(self.profile.solver_budget)
-                        .with_float_mode(self.profile.float_mode);
-                    if let Some(d) = &disk {
-                        // Write-only: the throwaway warms the persistent
-                        // cache but never reads it, preserving the
-                        // stateless profile's per-query cost model.
-                        t = t.with_disk_cache(d.clone(), false);
-                    }
-                    if let Some(shared) = &self.shared_cache {
-                        // Same write-only discipline for the shared
-                        // in-process cache.
-                        t = t.with_shared_cache(shared.clone(), false);
-                    }
-                    throwaway = t;
+                    throwaway = new_solver();
                     &throwaway
                 };
                 let result = active.try_check(&query);
@@ -923,15 +887,6 @@ impl Engine {
                 // has been exhausted the tool's run is over.
                 break 'rounds;
             }
-        }
-
-        if let Some(d) = &disk {
-            // Best-effort publish: a failed flush costs warmth, not the
-            // cell — the in-memory outcome is already decided.
-            let _ = d.borrow_mut().flush();
-            let dc = d.borrow();
-            evidence.disk_cache_hits = dc.hits();
-            evidence.cache_segments_rejected = dc.segments_rejected();
         }
 
         let cache = solver.cache_stats();

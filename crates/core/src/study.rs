@@ -16,12 +16,13 @@ use bomblab_fault as fault;
 use bomblab_obs as obs;
 use bomblab_obs::json::{str_array, Obj};
 use bomblab_obs::trace::{render_cell, SCHEMA_VERSION};
+use bomblab_solver::ShardCache;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One dataset entry: a subject plus its known trigger and the outcome row
@@ -115,19 +116,15 @@ pub struct StudyOptions {
     /// a missing, torn, or configuration-mismatched journal replays
     /// nothing and the study simply runs in full.
     pub resume: bool,
-    /// Directory for the persistent solver cache. Stateless paper-tool
-    /// profiles warm it write-only (their verdicts cannot change);
-    /// `incremental_solver` profiles read through it with every loaded
-    /// model re-verified by concrete evaluation.
+    /// Directory that persists the study's solver model store. Every study
+    /// opens one store ([`ShardCache`]) that all cells' solvers attach to,
+    /// so slices repeated across (bomb, profile) cells are solved once per
+    /// *study*; with a directory, the store loads the models of earlier
+    /// runs and is flushed back after every completed cell. Stateless
+    /// paper-tool profiles warm it write-only (their verdicts cannot
+    /// change); `incremental_solver` profiles read through it with every
+    /// loaded model re-verified by concrete evaluation.
     pub solver_cache_dir: Option<PathBuf>,
-    /// Arm the study-wide shared in-process solver cache: one sharded
-    /// model store every cell's solvers attach to, so slices repeated
-    /// across (bomb, profile) cells are solved once per *study* instead of
-    /// once per cell. Same gating discipline as the disk cache — stateless
-    /// paper-tool profiles attach write-only, `incremental_solver`
-    /// profiles read through with concrete-eval re-verification — so
-    /// Table II stays byte-identical with this on or off. On by default.
-    pub shared_cache: bool,
 }
 
 impl Default for StudyOptions {
@@ -145,7 +142,6 @@ impl Default for StudyOptions {
             checkpoint: None,
             resume: false,
             solver_cache_dir: None,
-            shared_cache: true,
         }
     }
 }
@@ -173,6 +169,10 @@ pub struct StudyStats {
     /// Observation windows this study closed. Equal to
     /// `obs_windows_opened` once the study has returned.
     pub obs_windows_closed: u64,
+    /// Segments of the persisted solver model store rejected when the
+    /// study opened it (corruption, truncation, version mismatch; each is
+    /// rebuilt by the next flush).
+    pub cache_segments_rejected: u64,
 }
 
 /// The full study outcome.
@@ -474,12 +474,6 @@ impl StudyReport {
                 if ev.retry_backoff_ns > 0 {
                     line = line.u64("retry_backoff_ns", ev.retry_backoff_ns);
                 }
-                if ev.disk_cache_hits > 0 {
-                    line = line.u64("disk_cache_hits", ev.disk_cache_hits);
-                }
-                if ev.cache_segments_rejected > 0 {
-                    line = line.u64("cache_segments_rejected", ev.cache_segments_rejected);
-                }
                 if ev.shared_cache_hits > 0 {
                     line = line.u64("shared_cache_hits", ev.shared_cache_hits);
                 }
@@ -562,6 +556,12 @@ impl StudyReport {
         }
         if self.stats.sched_estimated > 0 {
             summary = summary.u64("sched_estimated", self.stats.sched_estimated);
+        }
+        if self.stats.cache_segments_rejected > 0 {
+            summary = summary.u64(
+                "cache_segments_rejected",
+                self.stats.cache_segments_rejected,
+            );
         }
         out.push(summary.finish());
         out
@@ -1185,11 +1185,9 @@ pub fn run_study_with(
         None
     };
 
-    // One shared in-process solver cache for the whole study (all cells,
-    // all workers). Read-through is gated per profile inside the engine.
-    let shared_cache = options
-        .shared_cache
-        .then(bomblab_solver::ShardCache::shared);
+    // One solver model store for the whole study (all cells, all
+    // workers); read-through is gated per profile inside the engine.
+    let store = Arc::new(open_store(options.solver_cache_dir.as_deref(), plan));
 
     // Checkpoint journal: opened (and truncated or replayed) before the
     // matrix fans out. An unopenable journal degrades to a plain run —
@@ -1277,8 +1275,7 @@ pub fn run_study_with(
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     Engine::new(profile.clone())
                         .with_static_hints(hints.clone())
-                        .with_solver_cache_dir(options.solver_cache_dir.clone())
-                        .with_shared_cache(shared_cache.clone())
+                        .with_shared_cache(Some(Arc::clone(&store)))
                         .explore(&case.subject, ground)
                 }));
                 let containment = fault::disarm(token);
@@ -1388,6 +1385,11 @@ pub fn run_study_with(
                     }
                 }
             }
+            // Publish the models this cell added. Best-effort: a failed
+            // flush costs warmth, not the cell, and the next one retries.
+            if let Err(e) = store.flush() {
+                eprintln!("[study] solver cache flush failed: {e}");
+            }
             cell
         },
         |k, message| {
@@ -1445,8 +1447,33 @@ pub fn run_study_with(
             sched_estimated,
             obs_windows_opened,
             obs_windows_closed,
+            cache_segments_rejected: store.segments_rejected(),
         },
     }
+}
+
+/// Opens the study's solver model store: in memory, or persisted in `dir`.
+/// A persisted store opens outside every cell but under the study's fault
+/// plan, so chaos plans still reach the segment loads. Opening never
+/// panics and tolerates (and counts) corrupt segments; an unopenable
+/// directory degrades to an in-memory store — durability is best-effort,
+/// never a new way for a study to die.
+fn open_store(dir: Option<&Path>, plan: Option<&fault::FaultPlan>) -> ShardCache {
+    let Some(dir) = dir else {
+        return ShardCache::default();
+    };
+    let armed = plan.is_some().then(|| fault::arm(plan, None));
+    let opened = ShardCache::open(dir);
+    if let Some(t) = armed {
+        let fired = fault::disarm(t).fired;
+        if !fired.is_empty() {
+            eprintln!("[study] solver cache open absorbed faults: {fired:?}");
+        }
+    }
+    opened.unwrap_or_else(|e| {
+        eprintln!("[study] solver cache unavailable ({e}); running in memory");
+        ShardCache::default()
+    })
 }
 
 /// Static scheduling estimate for one cell, when the journal has no

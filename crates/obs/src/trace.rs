@@ -32,9 +32,9 @@ use crate::{CellProfile, Field};
 /// hot-loop counters on `cell` lines (`vm_steps`, `bb_*`, `steps_decoded`,
 /// `blocker_skips`, `lbd_evictions`); v3 — durability fields: optional
 /// retry/quarantine counters and persistent-cache counters on `cell`
-/// lines (`retries`, `quarantined`, `retry_backoff_ns`, `disk_cache_hits`,
-/// `cache_segments_rejected`) and checkpoint counters on the `summary`
-/// trailer (`cells_replayed`, `checkpoint_io_errors`); v4 — scaling
+/// lines (`retries`, `quarantined`, `retry_backoff_ns`, the disk hit
+/// count, `cache_segments_rejected`) and checkpoint counters on the
+/// `summary` trailer (`cells_replayed`, `checkpoint_io_errors`); v4 — scaling
 /// fields: optional SAT `propagations` and shared in-process cache
 /// counters (`shared_cache_hits`, `shared_cache_stores`,
 /// `shared_cache_rejected`) on `cell` lines, plus cost-aware scheduler
@@ -47,8 +47,12 @@ use crate::{CellProfile, Field};
 /// removed, and with them their `cell` counters (`bb_*`, `steps_decoded`,
 /// `trace_steps_elided`). Up to v5 every change only added optional
 /// fields; v6 removes fields, so a v2–v5 trace that carries any of them
-/// no longer validates.
-pub const SCHEMA_VERSION: u64 = 6;
+/// no longer validates; v7 — the solver's disk cache was folded into the
+/// study-wide model store, so the disk hit count left `cell` lines (those
+/// hits are `shared_cache_hits` now) and `cache_segments_rejected` moved
+/// from `cell` lines to the `summary` trailer (the store opens once per
+/// study).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Field kinds the validator distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,8 +184,6 @@ const SCHEMA: &[TypeSchema] = &[
             ("retries", Kind::U64),
             ("quarantined", Kind::Bool),
             ("retry_backoff_ns", Kind::U64),
-            ("disk_cache_hits", Kind::U64),
-            ("cache_segments_rejected", Kind::U64),
             ("propagations", Kind::U64),
             ("shared_cache_hits", Kind::U64),
             ("shared_cache_stores", Kind::U64),
@@ -236,6 +238,7 @@ const SCHEMA: &[TypeSchema] = &[
             ("checkpoint_io_errors", Kind::U64),
             ("sched_costed", Kind::U64),
             ("sched_estimated", Kind::U64),
+            ("cache_segments_rejected", Kind::U64),
         ],
     ),
 ];
@@ -508,10 +511,11 @@ mod tests {
                     \"wall_ns\":1,\"rounds\":1,\"queries\":1";
         // All durability fields present and well typed.
         assert!(validate_line(&format!(
-            "{{{base},\"retries\":2,\"quarantined\":true,\"retry_backoff_ns\":30000000,\
-             \"disk_cache_hits\":4,\"cache_segments_rejected\":1}}"
+            "{{{base},\"retries\":2,\"quarantined\":true,\"retry_backoff_ns\":30000000}}"
         ))
         .is_ok());
+        // v7 moved the rejected-segment count to the summary trailer.
+        assert!(validate_line(&format!("{{{base},\"cache_segments_rejected\":1}}")).is_err());
         // A boolean where an integer belongs is drift.
         assert!(validate_line(&format!("{{{base},\"retries\":true}}")).is_err());
         // Quarantine without a retry is semantically impossible.
@@ -519,10 +523,10 @@ mod tests {
         assert!(validate_line(&format!("{{{base},\"quarantined\":true,\"retries\":0}}")).is_err());
         // Quarantined=false needs no retries.
         assert!(validate_line(&format!("{{{base},\"quarantined\":false}}")).is_ok());
-        // Summary trailer accepts the checkpoint counters.
+        // Summary trailer accepts the checkpoint and store counters.
         assert!(validate_line(
             "{\"type\":\"summary\",\"cells\":1,\"spans\":0,\"events\":0,\"counters\":0,\
-             \"cells_replayed\":1,\"checkpoint_io_errors\":0}"
+             \"cells_replayed\":1,\"checkpoint_io_errors\":0,\"cache_segments_rejected\":1}"
         )
         .is_ok());
     }

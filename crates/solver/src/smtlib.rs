@@ -3,17 +3,21 @@
 //! The paper's tools describe their constraint models in SMT-LIB (Triton,
 //! Angr) or CVC (BAP). This module renders a conjunction of terms as an
 //! SMT-LIB 2 script, so extracted path conditions can be inspected or fed
-//! to an external solver for cross-checking.
+//! to an external solver for cross-checking. The rendering is also the
+//! content the solver's model store keys on
+//! ([`shardcache::content_key`](crate::shardcache::content_key)).
 
-use crate::expr::{BvOp, CmpOp, FCmpOp, FOp, Node, Term, Var};
-use std::collections::HashMap;
+use crate::expr::{BvOp, CmpOp, FCmpOp, FOp, Node, Sort, Term, Var};
+use crate::idhash::IdMap;
 use std::fmt::Write as _;
 
 /// Renders `constraints` as a complete SMT-LIB 2 script (`QF_BV` when no
 /// floating-point terms appear, `QF_BVFP`-flavoured otherwise).
 ///
-/// Shared subterms are bound with `let` so the output stays linear in the
-/// DAG size.
+/// Every compound subterm the conjunction references more than once is
+/// defined once with `define-fun` and named at each use, so the output
+/// stays linear in the DAG size (memory ITE chains share their subterms
+/// heavily; rendered as a tree they grow exponentially).
 pub fn to_smtlib(constraints: &[Term]) -> String {
     let mut out = String::new();
     let has_float = constraints.iter().any(Term::has_float);
@@ -31,10 +35,18 @@ pub fn to_smtlib(constraints: &[Term]) -> String {
         let _ = writeln!(out, "(declare-const {} (_ BitVec {}))", v.name, v.width);
     }
     let mut printer = Printer {
-        memo: HashMap::new(),
+        uses: IdMap::default(),
+        names: IdMap::default(),
+        defs: String::new(),
+        counting: true,
     };
     for c in constraints {
+        printer.print(c);
+    }
+    printer.counting = false;
+    for c in constraints {
         let rendered = printer.print(c);
+        out.push_str(&std::mem::take(&mut printer.defs));
         let _ = writeln!(out, "(assert {rendered})");
     }
     let _ = writeln!(out, "(check-sat)");
@@ -43,18 +55,48 @@ pub fn to_smtlib(constraints: &[Term]) -> String {
 }
 
 struct Printer {
-    /// Term id → rendered string (memoized; DAG-safe).
-    memo: HashMap<usize, String>,
+    /// Term id → references from the conjunction (its assertions and its
+    /// compound subterms), filled by the counting pass.
+    uses: IdMap<usize, u32>,
+    /// Term id → `define-fun` name of a shared subterm already defined.
+    names: IdMap<usize, String>,
+    /// `define-fun` lines not yet written out, each after its operands'.
+    defs: String,
+    /// The counting pass walks the DAG once through `print_inner` and
+    /// renders nothing.
+    counting: bool,
 }
 
 impl Printer {
     fn print(&mut self, t: &Term) -> String {
-        if let Some(s) = self.memo.get(&t.id()) {
-            return s.clone();
+        if self.counting {
+            let uses = self.uses.entry(t.id()).or_insert(0);
+            *uses += 1;
+            if *uses == 1 {
+                self.print_inner(t);
+            }
+            return String::new();
         }
-        let s = self.print_inner(t);
-        self.memo.insert(t.id(), s.clone());
-        s
+        if let Some(name) = self.names.get(&t.id()) {
+            return name.clone();
+        }
+        let text = self.print_inner(t);
+        let leaf = matches!(
+            t.node(),
+            Node::BvConst { .. } | Node::BvVar(_) | Node::BoolConst(_) | Node::FConst(_)
+        );
+        if leaf || self.uses.get(&t.id()).copied().unwrap_or(0) < 2 {
+            return text;
+        }
+        let name = format!("_t{}", self.names.len());
+        let sort = match t.sort() {
+            Sort::Bool => "Bool".to_string(),
+            Sort::Bv(w) => format!("(_ BitVec {w})"),
+            Sort::F64 => "(_ FloatingPoint 11 53)".to_string(),
+        };
+        let _ = writeln!(self.defs, "(define-fun {name} () {sort} {text})");
+        self.names.insert(t.id(), name.clone());
+        name
     }
 
     fn print_inner(&mut self, t: &Term) -> String {
@@ -205,5 +247,35 @@ mod tests {
         let script = to_smtlib(&[c1, c2]);
         assert_eq!(script.matches("declare-const x").count(), 1);
         assert_eq!(script.matches("(assert").count(), 2);
+    }
+
+    #[test]
+    fn shared_subterms_are_defined_once() {
+        // t = t + t, twenty times: 21 distinct nodes, 2^20 leaves as a tree.
+        let mut t = Term::var("x", 32);
+        for _ in 0..20 {
+            t = Term::bin(BvOp::Add, &t, &t);
+        }
+        let c = Term::cmp(CmpOp::Eq, &t, &Term::bv(0, 32));
+        let script = to_smtlib(&[c]);
+        assert!(script.len() < 4096, "{} bytes", script.len());
+        assert_eq!(script.matches("(define-fun").count(), 19);
+        assert!(script.contains("(define-fun _t0 () (_ BitVec 32) (bvadd x x))"));
+        assert!(script.contains("(assert (= (bvadd _t18 _t18) (_ bv0 32)))"));
+    }
+
+    #[test]
+    fn a_subterm_shared_across_assertions_is_defined_before_both() {
+        let x = Term::var("x", 8);
+        let s = Term::bin(BvOp::Mul, &x, &Term::bv(3, 8));
+        let c1 = Term::cmp(CmpOp::Ult, &s, &Term::bv(9, 8));
+        let c2 = Term::cmp(CmpOp::Ult, &Term::bv(1, 8), &s);
+        let script = to_smtlib(&[c1, c2]);
+        let def = script
+            .find("(define-fun _t0 () (_ BitVec 8) (bvmul x (_ bv3 8)))")
+            .expect("shared product defined");
+        let first = script.find("(assert (bvult _t0 (_ bv9 8)))").expect("c1");
+        assert!(def < first);
+        assert!(script.contains("(assert (bvult (_ bv1 8) _t0))"));
     }
 }

@@ -13,7 +13,7 @@
 //! bomblab bombs                         list the dataset
 //! bomblab study [prefix] [--jobs N|auto] [--trace out.jsonl]
 //!               [--checkpoint dir] [--resume] [--retries N] [--cache-dir dir]
-//!               [--tools paper|omniscient] [--no-shared-cache]
+//!               [--tools paper|omniscient]
 //!                                       run the Table-II study (durably)
 //! bomblab chaos [prefix] [--seed N] [--faults K] [--io-faults K] [--sweeps M]
 //!               [--jobs N|auto] [--retries N] [--checkpoint dir] [--cache-dir dir]
@@ -685,11 +685,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
         alias: None,
         takes_value: false,
     };
-    const NO_SHARED_CACHE: FlagSpec = FlagSpec {
-        name: "--no-shared-cache",
-        alias: None,
-        takes_value: false,
-    };
     const TOOLS: FlagSpec = FlagSpec {
         name: "--tools",
         alias: None,
@@ -698,16 +693,7 @@ fn cmd_study(args: &[String]) -> CmdResult {
     let (pos, flags) = parse_flags(
         "study",
         args,
-        &[
-            JOBS,
-            TRACE,
-            CHECKPOINT,
-            RESUME,
-            RETRIES,
-            CACHE_DIR,
-            NO_SHARED_CACHE,
-            TOOLS,
-        ],
+        &[JOBS, TRACE, CHECKPOINT, RESUME, RETRIES, CACHE_DIR, TOOLS],
         1,
     )?;
     let prefix = pos.first().cloned().unwrap_or_default();
@@ -746,7 +732,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
         checkpoint: flags.get("--checkpoint").map(std::path::PathBuf::from),
         resume: flags.contains_key("--resume"),
         solver_cache_dir: flags.get("--cache-dir").map(std::path::PathBuf::from),
-        shared_cache: !flags.contains_key("--no-shared-cache"),
         ..StudyOptions::default()
     };
     let report = run_study_with(&cases, &profiles, &options);

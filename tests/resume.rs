@@ -1,6 +1,7 @@
 //! Durability integration tests: kill-and-resume equivalence for the
 //! checkpoint journal, retry convergence for transient faults, and
-//! corruption tolerance for the persistent solver cache.
+//! corruption tolerance and completeness of the persisted solver model
+//! store.
 //!
 //! The invariant under test everywhere: durability features never change
 //! the report. A resumed study, a retried study that converged, and a
@@ -272,15 +273,48 @@ fn a_corrupt_cache_segment_is_rejected_and_rebuilt_not_fatal() {
         baseline,
         "corrupted cache segments must not change the report"
     );
-    let rejected: u64 = rerun
-        .rows
-        .iter()
-        .flat_map(|r| &r.cells)
-        .map(|c| c.attempt.evidence.cache_segments_rejected)
-        .sum();
-    assert!(rejected > 0, "corruption went unnoticed");
+    assert!(
+        rerun.stats.cache_segments_rejected > 0,
+        "corruption went unnoticed"
+    );
     let after = run_study_with(&cases, &profiles, &cached(scratch.0.clone()));
     assert_eq!(after.to_markdown(), baseline);
+}
+
+/// Every entry line of every segment in a persisted solver model store.
+fn segment_entries(dir: &std::path::Path) -> std::collections::BTreeSet<String> {
+    let mut entries = std::collections::BTreeSet::new();
+    for entry in std::fs::read_dir(dir).expect("cache dir") {
+        let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("segment");
+        entries.extend(text.lines().skip(1).map(str::to_string));
+    }
+    entries
+}
+
+#[test]
+fn parallel_cells_persist_every_model_of_a_sequential_run() {
+    // One store per study, flushed after every cell: concurrent workers
+    // can no longer overwrite each other's segments with private copies.
+    let cases: Vec<StudyCase> = bomblab::bombs::all_cases()
+        .into_iter()
+        .filter(|c| c.subject.name.starts_with("covert"))
+        .collect();
+    let profiles = ToolProfile::paper_lineup();
+    let persisted = |jobs: usize| {
+        let scratch = Scratch::new(&format!("lost-update-j{jobs}"));
+        let options = StudyOptions {
+            jobs,
+            solver_cache_dir: Some(scratch.0.clone()),
+            ..StudyOptions::default()
+        };
+        run_study_with(&cases, &profiles, &options);
+        segment_entries(&scratch.0)
+    };
+    let sequential = persisted(1);
+    assert!(!sequential.is_empty(), "the study persisted models");
+    for _ in 0..3 {
+        assert_eq!(persisted(4), sequential);
+    }
 }
 
 #[test]
